@@ -8,11 +8,12 @@ grows).
 
 import pytest
 
+from repro.chaos.algos import TABLE1
 from repro.harness.adversary import staircase_cluster, staircase_victim_latency
 from repro.harness.metrics import summarize
-from repro.harness.table1 import ALGORITHMS
 
 K = 10  # crash budget for the worst-case staircase
+ALGORITHMS = {p.label: p.factory for p in TABLE1}
 IDS = list(ALGORITHMS)
 
 

@@ -122,6 +122,10 @@ def _weight(view: SegArray) -> int:
 class BfkAso(ProtocolNode):
     """Fast atomic snapshot in the style of [BFK24] (``n > 2f``)."""
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        return (payload.writer,) if type(payload) is MStoreB else ()
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         if n <= 2 * f:

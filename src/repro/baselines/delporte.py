@@ -73,6 +73,10 @@ def _merge(a: SegArray, b: SegArray) -> SegArray:
 class DelporteAso(ProtocolNode):
     """Crash-tolerant ASO in the style of [19] (``n > 2f``)."""
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        return (payload.writer,) if type(payload) is MWrite else ()
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         if n <= 2 * f:

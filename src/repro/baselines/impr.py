@@ -106,6 +106,10 @@ class ImprRegisters(ProtocolNode):
     snapshot construction below runs on top of them.
     """
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        return (payload.writer,) if type(payload) is MRegWrite else ()
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         if n <= 2 * f:

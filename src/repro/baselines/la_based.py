@@ -199,6 +199,10 @@ class LatticeAso(_ClassifierCore, ProtocolNode):
     """Snapshot object from repeated lattice agreement ([11] recipe with
     the [42] classifier; ``n > 2f``)."""
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        return (payload.atom[0],) if type(payload) is MGossip else ()
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         if n <= 2 * f:

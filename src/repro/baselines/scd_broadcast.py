@@ -174,6 +174,12 @@ class ScdAso(ScdBroadcastNode):
     failure chains with amortized ``O(D)`` — Table I row [29].
     """
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        if type(payload) is MForward and type(payload.payload) is ScdWrite:
+            return (payload.payload.writer,)
+        return ()
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         self.reg: list[tuple[int, Any]] = [(0, None) for _ in range(n)]

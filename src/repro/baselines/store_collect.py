@@ -74,6 +74,12 @@ class StoreCollectObject(ProtocolNode):
     union of everything ever stored or carried by queries (monotone).
     """
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        if type(payload) is not MStore:
+            return ()
+        return tuple(writer for writer, _, _ in payload.view)
+
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
         if n <= 2 * f:

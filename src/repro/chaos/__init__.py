@@ -22,16 +22,7 @@ The standing robustness loop over the whole stack:
 CLI: ``python -m repro.chaos --algo all --seeds 25``  (see ``--help``).
 """
 
-from repro.chaos.algos import (
-    BYZANTINE_ALGOS,
-    CAMPAIGN_ALGOS,
-    AlgoProfile,
-    all_profiles,
-    get_profile,
-    healthy_profiles,
-    register_profile,
-    unregister_profile,
-)
+from repro.chaos.algos import HEALTHY, REGISTRY, AlgoProfile, all_profiles, get_profile
 from repro.chaos.campaign import (
     CampaignReport,
     FailureRecord,
@@ -73,10 +64,8 @@ def __getattr__(name: str):
 
 __all__ = [
     "AlgoProfile",
-    "BYZANTINE_ALGOS",
     "BcastCrashSpec",
     "ByzSpec",
-    "CAMPAIGN_ALGOS",
     "CampaignReport",
     "ChainCrashSpec",
     "ChaosPlan",
@@ -85,7 +74,9 @@ __all__ = [
     "ExecutionResult",
     "Failure",
     "FailureRecord",
+    "HEALTHY",
     "OpChainSpec",
+    "REGISTRY",
     "ShrinkResult",
     "TimedCrashSpec",
     "all_profiles",
@@ -94,11 +85,8 @@ __all__ = [
     "export_counterexample",
     "generate_plan",
     "get_profile",
-    "healthy_profiles",
-    "register_profile",
     "run_campaign",
     "run_plan",
     "shard_crash_campaign",
     "shrink_plan",
-    "unregister_profile",
 ]

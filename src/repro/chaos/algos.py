@@ -1,16 +1,20 @@
-"""Algorithm profiles for the chaos campaign.
+"""The algorithm registry: one :class:`AlgoProfile` per runnable
+snapshot implementation, keyed by a short CLI-friendly name.
 
-One :class:`AlgoProfile` per snapshot implementation, keyed by a short
-CLI-friendly name.  The six crash-model algorithms of Table I form
-:data:`CAMPAIGN_ALGOS` (the ``--algo all`` / ``--smoke`` sweep); the two
-Byzantine variants are additional profiles that also draw random
-Byzantine behaviours — including equivocation — from the attack
-repertoire in :mod:`repro.net.byzantine`.
+:data:`REGISTRY` is the only place algorithm classes are enumerated.
+Its order is Table-I order — the literature rows, then the paper's —
+followed by the two Byzantine variants (``n > 3f``; the generator may
+also replace up to ``f`` nodes with adversarial behaviours, including
+equivocation, from :mod:`repro.net.byzantine`) and the quorum-weakened
+mutants of :mod:`repro.chaos.mutants`.  Everything else is derived from
+it: the ``--algo all`` sweep (:data:`HEALTHY`), Table I and the
+contender race (:data:`TABLE1`), the shard service's resolver and the
+trace replayer's level lookup.
 
-The profile records the algorithm's *specification level*: atomic
-algorithms are checked for linearizability (real-time order included),
-the sequential-snapshot family for sequential consistency — the same
-split the integration suite uses.
+An entry holds only what the class cannot say about itself.  The class
+declares its specification level (``CONSISTENCY``) and which payloads
+carry a writer's value (``value_writers``); see
+:class:`repro.runtime.protocol.ProtocolNode`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ from repro.baselines import (
     ScdAso,
     StoreCollectAso,
 )
+from repro.chaos.mutants import (
+    BfkWeakStoreQuorum,
+    DelporteWeakScanQuorum,
+    DelporteWeakWriteQuorum,
+    ImprWeakCollectQuorum,
+)
 from repro.core import ByzantineAso, ByzantineSso, EqAso, SsoFastScan
 from repro.core.tags import Timestamp, ValueTs
 from repro.net.byzantine import (
@@ -36,84 +46,102 @@ from repro.net.byzantine import (
     Silent,
     TagFlooder,
 )
-
-LINEARIZABLE = "linearizable"
-SEQUENTIAL = "sequential"
+from repro.net.faults import value_match
+from repro.runtime.protocol import LINEARIZABLE, SEQUENTIAL, ProtocolNode
 
 
 @dataclass(frozen=True, slots=True)
 class AlgoProfile:
-    """Everything the campaign needs to know about one algorithm."""
+    """What the registry knows about one algorithm beyond its class."""
 
     name: str
-    factory: Callable[[int, int, int], Any]
-    consistency: str  #: LINEARIZABLE or SEQUENTIAL
-    n: int
-    f: int
+    factory: type[ProtocolNode]
+    #: cluster size and fault threshold of chaos plans
+    n: int = 5
+    f: int = 2
     supports_byzantine: bool = False
     #: for mutants: the healthy profile this one weakens (None = healthy)
     mutant_of: str | None = None
+    #: Table-I row label (empty: not a Table-I row) and the paper's
+    #: (UPDATE, SCAN) bounds for that row
+    label: str = ""
+    claims: tuple[str, ...] = ()
+    #: raced head-to-head in :mod:`repro.harness.contenders`
+    contender: bool = False
 
 
-#: the healthy crash-model sweep: the six algorithms of Table I plus the
-#: post-2022 contenders (BFK fast snapshot, IMPR register layering)
-CAMPAIGN_ALGOS: dict[str, AlgoProfile] = {
-    "eq_aso": AlgoProfile("eq_aso", EqAso, LINEARIZABLE, n=5, f=2),
-    "sso_fast_scan": AlgoProfile(
-        "sso_fast_scan", SsoFastScan, SEQUENTIAL, n=5, f=2
+REGISTRY: tuple[AlgoProfile, ...] = (
+    AlgoProfile(
+        "delporte",
+        DelporteAso,
+        label="Delporte et al. [19]",
+        claims=("O(D)", "O(n·D)"),
+        contender=True,
     ),
-    "delporte": AlgoProfile("delporte", DelporteAso, LINEARIZABLE, n=5, f=2),
-    "store_collect": AlgoProfile(
-        "store_collect", StoreCollectAso, LINEARIZABLE, n=5, f=2
+    AlgoProfile(
+        "store_collect",
+        StoreCollectAso,
+        label="Store-collect [12]",
+        claims=("O(n·D)", "O(n·D)"),
     ),
-    "scd": AlgoProfile("scd", ScdAso, LINEARIZABLE, n=5, f=2),
-    "la_based": AlgoProfile("la_based", LatticeAso, LINEARIZABLE, n=5, f=2),
-    "bfk": AlgoProfile("bfk", BfkAso, LINEARIZABLE, n=5, f=2),
-    "impr": AlgoProfile("impr", ImprRegisterAso, LINEARIZABLE, n=5, f=2),
-}
-
-
-def healthy_profiles() -> dict[str, AlgoProfile]:
-    """The current healthy crash-model sweep — what ``--algo all`` and
-    ``--smoke`` expand to.  Computed at call time so contenders added
-    via :func:`register_profile` are picked up, not the import-time
-    sort of :data:`CAMPAIGN_ALGOS`."""
-    return dict(CAMPAIGN_ALGOS)
-
-
-def register_profile(profile: AlgoProfile, *, campaign: bool = True) -> None:
-    """Register a new algorithm profile at runtime.
-
-    ``campaign=True`` adds it to the healthy ``--algo all`` sweep
-    (crash-model algorithms only); ``campaign=False`` registers it as an
-    extra profile reachable by explicit name (like the Byzantine
-    variants).  Registering an existing name is an error — profiles are
-    identities, not configuration.
-    """
-    if profile.name in all_profiles():
-        raise ValueError(f"profile {profile.name!r} is already registered")
-    if campaign:
-        CAMPAIGN_ALGOS[profile.name] = profile
-    else:
-        BYZANTINE_ALGOS[profile.name] = profile
-
-
-def unregister_profile(name: str) -> None:
-    """Remove a profile added via :func:`register_profile` (tests and
-    plugin teardown); unknown names are a no-op."""
-    CAMPAIGN_ALGOS.pop(name, None)
-    BYZANTINE_ALGOS.pop(name, None)
-
-#: Byzantine-tolerant variants (n > 3f); the generator may also replace
-#: up to f nodes with adversarial behaviours
-BYZANTINE_ALGOS: dict[str, AlgoProfile] = {
-    "byz_aso": AlgoProfile(
-        "byz_aso", ByzantineAso, LINEARIZABLE, n=4, f=1, supports_byzantine=True
+    AlgoProfile(
+        "scd", ScdAso, label="SCD-broadcast [29]", claims=("O(k·D)*", "O(k·D)*")
     ),
-    "byz_sso": AlgoProfile(
-        "byz_sso", ByzantineSso, SEQUENTIAL, n=4, f=1, supports_byzantine=True
+    AlgoProfile(
+        "la_based",
+        LatticeAso,
+        label="LA-based [41,42]+[11]",
+        claims=("O(log n·D)", "O(log n·D)"),
     ),
-}
+    AlgoProfile(
+        "bfk",
+        BfkAso,
+        label="BFK fast snapshot [2408.02562]",
+        claims=("O(D)", "O(c·D)†"),
+        contender=True,
+    ),
+    AlgoProfile(
+        "impr",
+        ImprRegisterAso,
+        label="IMPR registers [1702.08176]",
+        claims=("O(D)", "O(c·D)"),
+        contender=True,
+    ),
+    AlgoProfile(
+        "eq_aso",
+        EqAso,
+        label="EQ-ASO [this paper]",
+        claims=("O(√k·D)", "O(√k·D)"),
+        contender=True,
+    ),
+    AlgoProfile(
+        "sso_fast_scan",
+        SsoFastScan,
+        label="SSO-Fast-Scan [this paper]",
+        claims=("O(√k·D)", "O(1)"),
+    ),
+    AlgoProfile("byz_aso", ByzantineAso, n=4, f=1, supports_byzantine=True),
+    AlgoProfile("byz_sso", ByzantineSso, n=4, f=1, supports_byzantine=True),
+    AlgoProfile(
+        "mut-delporte-weak-write", DelporteWeakWriteQuorum, mutant_of="delporte"
+    ),
+    AlgoProfile(
+        "mut-delporte-weak-scan", DelporteWeakScanQuorum, mutant_of="delporte"
+    ),
+    AlgoProfile("mut-bfk-weak-store", BfkWeakStoreQuorum, mutant_of="bfk"),
+    AlgoProfile("mut-impr-weak-collect", ImprWeakCollectQuorum, mutant_of="impr"),
+)
+
+_BY_NAME: dict[str, AlgoProfile] = {p.name: p for p in REGISTRY}
+
+#: the healthy crash-model sweep (``--algo all`` / ``--smoke``): every
+#: entry that is neither a mutant nor a Byzantine variant
+HEALTHY: tuple[str, ...] = tuple(
+    p.name for p in REGISTRY if p.mutant_of is None and not p.supports_byzantine
+)
+
+#: the Table-I rows, in table order
+TABLE1: tuple[AlgoProfile, ...] = tuple(p for p in REGISTRY if p.label)
 
 
 def _equivocator() -> ByzantineBehavior:
@@ -152,45 +180,35 @@ def make_behaviour(name: str) -> ByzantineBehavior:
 
 
 def all_profiles() -> dict[str, AlgoProfile]:
-    """Every runnable profile: campaign set + Byzantine + mutants."""
-    from repro.chaos.mutants import MUTANTS
-
-    out = dict(CAMPAIGN_ALGOS)
-    out.update(BYZANTINE_ALGOS)
-    out.update(MUTANTS)
-    return out
+    """Every runnable profile by name, in registry order."""
+    return dict(_BY_NAME)
 
 
 def get_profile(name: str) -> AlgoProfile:
-    profiles = all_profiles()
     try:
-        return profiles[name]
+        return _BY_NAME[name]
     except KeyError:
         raise KeyError(
-            f"unknown algorithm {name!r}; choose from {sorted(profiles)}"
+            f"unknown algorithm {name!r}; choose from {sorted(_BY_NAME)}"
         ) from None
 
 
 def value_match_for(profile: AlgoProfile) -> Callable[[int], Callable[[Any], bool]]:
     """The algorithm's payload predicate factory for failure chains
     (hop crashes keyed on the chain head's value)."""
-    from repro.harness.adversary import value_match_factory
-
-    return value_match_factory(profile.factory)
+    return value_match(profile.factory.value_writers)
 
 
 __all__ = [
     "AlgoProfile",
-    "BYZANTINE_ALGOS",
     "BYZ_BEHAVIOURS",
-    "CAMPAIGN_ALGOS",
+    "HEALTHY",
     "LINEARIZABLE",
+    "REGISTRY",
     "SEQUENTIAL",
+    "TABLE1",
     "all_profiles",
     "get_profile",
-    "healthy_profiles",
     "make_behaviour",
-    "register_profile",
-    "unregister_profile",
     "value_match_for",
 ]

@@ -3,11 +3,11 @@
 A chaos campaign that never fires is indistinguishable from one that
 cannot see: these mutants are the injected faults that prove the loop —
 generator → checker → shrinker → exported counterexample — actually
-closes.  Each weakens exactly one guard of a healthy algorithm behind a
-separate registry entry (they are reachable only by their explicit
-``mut-…`` names, never from the ``--algo all`` sweep), so tests and the
-CLI can demonstrate that a weakened quorum check is caught and shrunk to
-a minimal failing seed.
+closes.  Each weakens exactly one guard of a healthy algorithm behind its
+own :mod:`repro.chaos.algos` registry entry (reachable only by its
+explicit ``mut-…`` name, never from the ``--algo all`` sweep), so tests
+and the CLI can demonstrate that a weakened quorum check is caught and
+shrunk to a minimal failing seed.
 
 - :class:`DelporteWeakWriteQuorum` — UPDATE's ``n − f`` write-ack quorum
   weakened to 1: the writer's own zero-delay self-ack completes the
@@ -45,7 +45,6 @@ from typing import Any
 from repro.baselines.bfk import BfkAso, MStoreB
 from repro.baselines.delporte import DelporteAso, MCollect, MWrite
 from repro.baselines.impr import ImprRegisterAso, MRegRead, RegArray, _merge
-from repro.chaos.algos import LINEARIZABLE, AlgoProfile
 from repro.runtime.protocol import OpGen, WaitUntil
 
 
@@ -138,45 +137,7 @@ class ImprWeakCollectQuorum(ImprRegisterAso):
         return merged
 
 
-#: mutant registry — separate namespace from the healthy profiles
-MUTANTS: dict[str, AlgoProfile] = {
-    "mut-delporte-weak-write": AlgoProfile(
-        "mut-delporte-weak-write",
-        DelporteWeakWriteQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="delporte",
-    ),
-    "mut-delporte-weak-scan": AlgoProfile(
-        "mut-delporte-weak-scan",
-        DelporteWeakScanQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="delporte",
-    ),
-    "mut-bfk-weak-store": AlgoProfile(
-        "mut-bfk-weak-store",
-        BfkWeakStoreQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="bfk",
-    ),
-    "mut-impr-weak-collect": AlgoProfile(
-        "mut-impr-weak-collect",
-        ImprWeakCollectQuorum,
-        LINEARIZABLE,
-        n=5,
-        f=2,
-        mutant_of="impr",
-    ),
-}
-
-
 __all__ = [
-    "MUTANTS",
     "BfkWeakStoreQuorum",
     "DelporteWeakScanQuorum",
     "DelporteWeakWriteQuorum",

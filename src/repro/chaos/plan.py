@@ -19,7 +19,8 @@ the campaign depends on:
 Predicates are reconstructed from data at build time:
 :class:`BcastCrashSpec` counts the node's broadcasts (``nth``), and
 :class:`ChainCrashSpec` keys every hop on the chain head's value via the
-per-algorithm ``value_match_factory`` — using the per-hop ``matches``
+algorithm's ``value_writers`` declaration
+(:func:`~repro.net.faults.value_match`), using the per-hop ``matches``
 form of :func:`~repro.net.faults.chain_crash_plan`.
 """
 

@@ -160,7 +160,7 @@ def check_history(
 ) -> ExecutionResult:
     """Apply the safety checkers to a recorded history."""
     profile = get_profile(plan.algo)
-    real_time = profile.consistency == LINEARIZABLE
+    real_time = profile.factory.CONSISTENCY == LINEARIZABLE
     result = order_check(history, real_time=real_time)
     eff = len(effective_ops(history))
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 from repro.core.byz_aso import ByzantineAso
 from repro.core.eq_aso import View
 from repro.core.tags import ValueTs, extract
-from repro.runtime.protocol import OpGen
+from repro.runtime.protocol import SEQUENTIAL, OpGen
 
 
 class ByzantineSso(ByzantineAso):
     """Byzantine SSO with O(1), zero-message SCAN (``n > 3f``)."""
+
+    CONSISTENCY = SEQUENTIAL
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)

@@ -60,6 +60,10 @@ class EqAso(ProtocolNode):
     :attr:`good_lattice_ops`, :attr:`indirect_views_used`.
     """
 
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        return (payload.vt.writer,) if type(payload) is MValue else ()
+
     #: ablation switches (class-level defaults; the ablation experiments
     #: subclass/flip these to demonstrate each mechanism is load-bearing)
     enable_tag_recheck: bool = True  # technique (T1), line 17

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.core.eq_aso import EqAso, View
 from repro.core.tags import ValueTs, extract
-from repro.runtime.protocol import OpGen
+from repro.runtime.protocol import SEQUENTIAL, OpGen
 
 
 class SsoFastScan(EqAso):
@@ -37,6 +37,8 @@ class SsoFastScan(EqAso):
 
     Requires ``n > 2f`` (UPDATE uses the EQ-ASO machinery unchanged).
     """
+
+    CONSISTENCY = SEQUENTIAL
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.messages import MValue
-from repro.net.faults import BroadcastCrash, CrashPlan
+from repro.core.eq_aso import EqAso
+from repro.net.faults import BroadcastCrash, CrashPlan, value_match
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,14 +61,6 @@ def max_chains_for_budget(k: int) -> int:
     return m
 
 
-def default_match_for_writer(writer: int) -> Callable[[Any], bool]:
-    """Predicate matching a ``value`` broadcast that carries ``writer``'s
-    value — the EQ-ASO-family default.  Matching on the *writer* (not just
-    the message type) matters: chain members also forward unrelated
-    values, and crashing on those would decapitate the chain early."""
-    return lambda p: isinstance(p, MValue) and p.vt.writer == writer
-
-
 def chain_staircase(
     k: int,
     *,
@@ -84,7 +76,7 @@ def chain_staircase(
     Every chain member crashes while (re)broadcasting *that chain's*
     value — Definition 11's crash mode — delivering it only to the next
     member.  ``match_for_writer(head_id)`` builds the payload predicate
-    identifying the chain's value; the default handles the EQ-ASO family.
+    identifying the chain's value; the default is EQ-ASO's.
 
     ``n`` is sized so that ``k ≤ f < n/2`` with ``extra_correct`` spare
     correct nodes beyond the victim and quorum needs.
@@ -97,7 +89,7 @@ def chain_staircase(
     n = 2 * f + 1 + extra_correct
     if victim >= n:
         raise ValueError("victim id out of range")
-    make_match = match_for_writer or default_match_for_writer
+    make_match = match_for_writer or value_match(EqAso.value_writers)
 
     plan = CrashPlan()
     chains: list[tuple[int, ...]] = []
@@ -130,73 +122,6 @@ def chain_staircase(
         victim=victim,
         crash_plan=plan,
     )
-
-
-def value_match_factory(factory) -> Callable[[int], Callable[[Any], bool]]:
-    """Per-algorithm factory: given a chain writer's id, build the payload
-    predicate identifying a broadcast that carries *that writer's* value —
-    the message Definition 11 crashes truncate."""
-    from repro.baselines.bfk import MStoreB
-    from repro.baselines.delporte import MWrite
-    from repro.baselines.impr import MRegWrite
-    from repro.baselines.la_based import MGossip
-    from repro.baselines.scd_broadcast import MForward, ScdWrite
-    from repro.baselines.store_collect import MStore
-
-    name = getattr(factory, "__name__", "")
-    if "Delporte" in name:
-        return lambda w: lambda p: isinstance(p, MWrite) and p.writer == w
-    if "Bfk" in name:
-        return lambda w: lambda p: isinstance(p, MStoreB) and p.writer == w
-    if "Impr" in name:
-        return lambda w: lambda p: isinstance(p, MRegWrite) and p.writer == w
-    if "StoreCollect" in name:
-        return lambda w: lambda p: isinstance(p, MStore) and any(
-            t[0] == w for t in p.view
-        )
-    if "Scd" in name:
-        return lambda w: lambda p: (
-            isinstance(p, MForward)
-            and isinstance(p.payload, ScdWrite)
-            and p.payload.writer == w
-        )
-    if "Lattice" in name:
-        return lambda w: lambda p: isinstance(p, MGossip) and p.atom[0] == w
-    return default_match_for_writer  # EQ-ASO family
-
-
-def _doomed_payload_predicate(
-    factory, writers: frozenset[int]
-) -> Callable[[Any], bool]:
-    """True for messages that carry a doomed (chain) writer's value —
-    the traffic the delay adversary slows to the full D."""
-    from repro.baselines.bfk import MStoreB
-    from repro.baselines.delporte import MWrite
-    from repro.baselines.impr import MRegWrite
-    from repro.baselines.la_based import MGossip
-    from repro.baselines.scd_broadcast import MForward, ScdWrite
-    from repro.baselines.store_collect import MStore
-
-    # exact-type dispatch: the payload classes are final, and a dict
-    # lookup beats a five-way isinstance chain on the per-message path
-    # (this predicate runs once per (message, destination)).  MValue has
-    # a packed fast-path layout with its own concrete type; register it
-    # under the same check so the delay schedule is layout-independent.
-    checks: dict[type, Callable[[Any], bool]] = {
-        MValue: lambda p: p.vt.writer in writers,
-        MWrite: lambda p: p.writer in writers,
-        MStoreB: lambda p: p.writer in writers,
-        MRegWrite: lambda p: p.writer in writers,
-        MStore: lambda p: any(w in writers for (w, _, _) in p.view),
-        MForward: lambda p: type(p.payload) is ScdWrite
-        and p.payload.writer in writers,
-        MGossip: lambda p: p.atom[0] in writers,
-    }
-    def doomed(payload: Any) -> bool:
-        check = checks.get(type(payload))
-        return check(payload) if check is not None else False
-
-    return doomed
 
 
 def staircase_victim_latency(
@@ -255,7 +180,8 @@ def staircase_cluster(
     from repro.net.delays import AdversarialDelay
     from repro.runtime.cluster import Cluster
 
-    make_match = match_for_writer or value_match_factory(factory)
+    value_writers = factory.value_writers
+    make_match = match_for_writer or value_match(value_writers)
     scenario = chain_staircase(k, match_for_writer=make_match)
     faulty = set(scenario.crash_plan.planned_nodes())
     writers = frozenset(scenario.writers)
@@ -267,7 +193,6 @@ def staircase_cluster(
     if len(correct_spares) < 2:
         raise ValueError("scenario needs two spare correct nodes")
     aux1, aux2 = correct_spares[0], correct_spares[1]
-    doomed = _doomed_payload_predicate(factory, writers)
 
     # doomedness depends only on the payload, and a broadcast asks once
     # per destination with the identical payload object — memoize the
@@ -281,7 +206,8 @@ def staircase_cluster(
         if payload is memo_payload:
             return memo_delay
         memo_payload = payload
-        memo_delay = 1.0 if doomed(payload) else fast
+        # a payload is doomed when it carries a chain writer's value
+        memo_delay = fast if writers.isdisjoint(value_writers(payload)) else 1.0
         return memo_delay
 
     cluster = Cluster(

@@ -29,21 +29,11 @@ byte-stable fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.baselines import BfkAso, DelporteAso, ImprRegisterAso
-from repro.core import EqAso
+from repro.chaos.algos import TABLE1
 from repro.harness.adversary import staircase_victim_latency
 from repro.runtime.cluster import Cluster
-
-#: the racers: the two new literature contenders bracketed by the
-#: incumbent pull-based baseline and the paper's algorithm
-CONTENDERS: dict[str, Callable] = {
-    "Delporte et al. [19]": DelporteAso,
-    "BFK fast snapshot [2408.02562]": BfkAso,
-    "IMPR registers [1702.08176]": ImprRegisterAso,
-    "EQ-ASO [this paper]": EqAso,
-}
 
 
 @dataclass(slots=True)
@@ -131,13 +121,20 @@ def contender_latency(
     k: int = 6,
     envelope_ns: Sequence[int] = (3, 5, 7, 9),
 ) -> list[ContenderRow]:
-    """Race every contender across all four axes (lockstep, seedless)."""
+    """Race every contender across all four axes (lockstep, seedless).
+
+    The racers are the registry's Table-I rows flagged ``contender``: the
+    two new literature contenders bracketed by the incumbent pull-based
+    baseline and the paper's algorithm."""
     f = (n - 1) // 2
     rows: list[ContenderRow] = []
-    for name, factory in CONTENDERS.items():
+    for profile in TABLE1:
+        if not profile.contender:
+            continue
+        factory = profile.factory
         rows.append(
             ContenderRow(
-                algorithm=name,
+                algorithm=profile.label,
                 update_free=_failure_free(factory, "update", n=n, f=f),
                 scan_free=_failure_free(factory, "scan", n=n, f=f),
                 scan_vs_c={
@@ -178,4 +175,4 @@ def format_contenders(rows: Sequence[ContenderRow]) -> list[str]:
     return lines
 
 
-__all__ = ["CONTENDERS", "ContenderRow", "contender_latency", "format_contenders"]
+__all__ = ["ContenderRow", "contender_latency", "format_contenders"]

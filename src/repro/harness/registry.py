@@ -227,12 +227,12 @@ def _exp_chaos(**kw) -> ExperimentResult:
     """A small chaos campaign over every healthy algorithm (the full
     sweep lives in ``python -m repro.chaos``; this entry is the
     registry-level smoke hook)."""
-    from repro.chaos import CAMPAIGN_ALGOS, run_campaign
+    from repro.chaos import HEALTHY, run_campaign
 
     seed = kw.pop("seed", 0)
     seeds = kw.pop("seeds", 2)
     report = run_campaign(
-        sorted(CAMPAIGN_ALGOS),
+        sorted(HEALTHY),
         seed_range=(0, seeds),
         master_seed=seed,
         smoke=True,

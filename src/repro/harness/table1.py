@@ -1,6 +1,7 @@
 """Regeneration of Table I — the paper's central comparison.
 
-For each of the eight algorithms we measure, in units of ``D``:
+For each Table-I row of the algorithm registry
+(:data:`repro.chaos.algos.TABLE1`) we measure, in units of ``D``:
 
 - **worst-case UPDATE / SCAN**: the larger of the latency of a victim
   operation under (i) the failure-chain staircase adversary
@@ -18,17 +19,9 @@ reproducible content; absolute constants depend on the substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.baselines import (
-    BfkAso,
-    DelporteAso,
-    ImprRegisterAso,
-    LatticeAso,
-    ScdAso,
-    StoreCollectAso,
-)
-from repro.core import EqAso, SsoFastScan
+from repro.chaos.algos import TABLE1
 from repro.harness.adversary import (
     interference_schedule,
     staircase_cluster,
@@ -36,29 +29,6 @@ from repro.harness.adversary import (
 )
 from repro.harness.metrics import collect_registry
 from repro.runtime.cluster import Cluster
-
-ALGORITHMS: dict[str, Callable] = {
-    "Delporte et al. [19]": DelporteAso,
-    "Store-collect [12]": StoreCollectAso,
-    "SCD-broadcast [29]": ScdAso,
-    "LA-based [41,42]+[11]": LatticeAso,
-    "BFK fast snapshot [2408.02562]": BfkAso,
-    "IMPR registers [1702.08176]": ImprRegisterAso,
-    "EQ-ASO [this paper]": EqAso,
-    "SSO-Fast-Scan [this paper]": SsoFastScan,
-}
-
-#: the paper's analytical entries, for the EXPERIMENTS.md comparison
-PAPER_CLAIMS: dict[str, dict[str, str]] = {
-    "Delporte et al. [19]": {"update": "O(D)", "scan": "O(n·D)"},
-    "Store-collect [12]": {"update": "O(n·D)", "scan": "O(n·D)"},
-    "SCD-broadcast [29]": {"update": "O(k·D)*", "scan": "O(k·D)*"},
-    "LA-based [41,42]+[11]": {"update": "O(log n·D)", "scan": "O(log n·D)"},
-    "BFK fast snapshot [2408.02562]": {"update": "O(D)", "scan": "O(c·D)†"},
-    "IMPR registers [1702.08176]": {"update": "O(D)", "scan": "O(c·D)"},
-    "EQ-ASO [this paper]": {"update": "O(√k·D)", "scan": "O(√k·D)"},
-    "SSO-Fast-Scan [this paper]": {"update": "O(√k·D)", "scan": "O(1)"},
-}
 
 
 @dataclass(slots=True)
@@ -149,7 +119,8 @@ def run_table1(
     measures on its own.
     """
     rows: list[Table1Row] = []
-    for name, factory in ALGORITHMS.items():
+    for profile in TABLE1:
+        factory = profile.factory
         upd_worst = _victim_latency_under_chains(factory, "update", k)
         scan_worst = _victim_latency_under_chains(factory, "scan", k)
         if interference:
@@ -167,7 +138,7 @@ def run_table1(
             )
         rows.append(
             Table1Row(
-                algorithm=name,
+                algorithm=profile.label,
                 update_worst=upd_worst,
                 update_amortized=_amortized(factory, "update", k, amortized_ops),
                 scan_worst=scan_worst,
@@ -192,4 +163,4 @@ def format_table1(rows: Sequence[Table1Row]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["ALGORITHMS", "PAPER_CLAIMS", "Table1Row", "run_table1", "format_table1"]
+__all__ = ["Table1Row", "run_table1", "format_table1"]

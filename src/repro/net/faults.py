@@ -165,6 +165,18 @@ class CrashPlan:
         return list(dests), False
 
 
+def value_match(
+    value_writers: Callable[[Any], tuple[int, ...]],
+) -> Callable[[int], Callable[[Any], bool]]:
+    """Per-writer payload predicates from a protocol's ``value_writers``
+    (see :class:`repro.runtime.protocol.ProtocolNode`): the predicate for
+    writer ``w`` matches a broadcast that carries ``w``'s value.  Keying
+    on the *writer*, not just the message type, matters: chain members
+    also forward unrelated values, and crashing on those would
+    decapitate the chain early."""
+    return lambda writer: lambda payload: writer in value_writers(payload)
+
+
 def chain_crash_plan(
     chain: Sequence[int],
     *,
@@ -179,12 +191,12 @@ def chain_crash_plan(
     ``k = m - 1`` crashes.
 
     ``match`` applies one shared predicate to every hop — fine when the
-    predicate identifies the chain's value (the usual
-    ``value_match_factory`` case), but wrong when hops must key on
-    different payloads: with ``match=None`` (first-broadcast-ever) a hop
-    that re-forwards an unrelated message first crashes on the *wrong*
-    broadcast and decapitates the chain.  ``matches`` supplies one
-    predicate per crashing hop (``len(matches) == len(chain) - 1``; an
+    predicate identifies the chain's value (the usual :func:`value_match`
+    case), but wrong when hops must key on different payloads: with
+    ``match=None`` (first-broadcast-ever) a hop that re-forwards an
+    unrelated message first crashes on the *wrong* broadcast and
+    decapitates the chain.  ``matches`` supplies one predicate per
+    crashing hop (``len(matches) == len(chain) - 1``; an
     entry of ``None`` means "first broadcast ever" for that hop) and is
     mutually exclusive with ``match``.
     """
@@ -215,4 +227,5 @@ __all__ = [
     "BroadcastCrash",
     "CrashPlan",
     "chain_crash_plan",
+    "value_match",
 ]

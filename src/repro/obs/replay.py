@@ -13,10 +13,11 @@ simulator's correctness harness: record a live run, then
 either certifies the execution or produces a counterexample cycle.
 
 The required consistency level is inferred from the trace's
-``algorithm`` metadata via the chaos campaign's algorithm profiles
-(atomic snapshots → linearizability, the sequential-snapshot family →
+``algorithm`` metadata (a class name) as the ``CONSISTENCY`` that class
+declares, for the healthy classes of the algorithm registry (atomic
+snapshots → linearizability, the sequential-snapshot family →
 sequential consistency); ``--level`` overrides the inference for
-algorithms the profiles do not know.
+algorithms the registry does not know.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.runtime.protocol import LINEARIZABLE, SEQUENTIAL
 from repro.spec.history import SCAN, UPDATE, History
 from repro.spec.serialize import history_from_dict
 
-LINEARIZABLE = "linearizable"
-SEQUENTIAL = "sequential"
 LEVELS = (LINEARIZABLE, SEQUENTIAL)
 
 
@@ -77,25 +77,15 @@ class ReplayResult:
         return lines
 
 
-def _profile_consistency() -> dict[str, str]:
-    """Map algorithm *class* names to their specification level, built
-    from the chaos campaign's profiles (single source of truth)."""
-    from repro.chaos.algos import all_profiles
-
-    out: dict[str, str] = {}
-    for profile in all_profiles().values():
-        name = getattr(profile.factory, "__name__", None)
-        if name is not None and profile.mutant_of is None:
-            out[name] = profile.consistency
-    return out
-
-
 def infer_level(meta: dict[str, Any]) -> str | None:
     """The consistency level the trace's algorithm promises, or None."""
+    from repro.chaos.algos import REGISTRY
+
     algorithm = meta.get("algorithm")
-    if not isinstance(algorithm, str):
-        return None
-    return _profile_consistency().get(algorithm)
+    for profile in REGISTRY:
+        if profile.mutant_of is None and profile.factory.__name__ == algorithm:
+            return profile.factory.CONSISTENCY
+    return None
 
 
 def history_from_trace(

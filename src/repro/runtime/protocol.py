@@ -14,9 +14,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, ClassVar, Generator
 
 OpGen = Generator["WaitUntil", None, Any]
+
+#: specification levels a snapshot algorithm can promise: atomic
+#: algorithms are checked for linearizability (real-time order
+#: included), the sequential-snapshot family for sequential consistency
+LINEARIZABLE = "linearizable"
+SEQUENTIAL = "sequential"
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +59,22 @@ class ProtocolNode(ABC):
     Subclasses implement :meth:`on_message` and expose client operations as
     generator methods (e.g. ``update``/``scan`` for snapshot objects,
     ``propose`` for lattice agreement).
+
+    A snapshot algorithm also describes itself to the test tooling:
+    :attr:`CONSISTENCY` is the level its histories are checked against,
+    and :meth:`value_writers` names the writers whose UPDATE value a
+    payload carries.
     """
+
+    #: the specification level the algorithm promises
+    CONSISTENCY: ClassVar[str] = LINEARIZABLE
+
+    @staticmethod
+    def value_writers(payload: Any) -> tuple[int, ...]:
+        """The writers whose UPDATE value ``payload`` carries (default:
+        none).  These are the broadcasts a Definition-11 crash truncates
+        in a failure chain and the staircase adversary delays to ``D``."""
+        return ()
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         if not 0 <= node_id < n:
@@ -128,4 +149,4 @@ class ProtocolNode(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no scan()")
 
 
-__all__ = ["OpGen", "ProtocolNode", "WaitUntil"]
+__all__ = ["LINEARIZABLE", "OpGen", "ProtocolNode", "SEQUENTIAL", "WaitUntil"]

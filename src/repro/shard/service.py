@@ -68,15 +68,10 @@ _COMPOSITE = "composite"
 
 def resolve_algorithm(name: str):
     """Factory + consistency level of a registered algorithm profile."""
-    from repro.chaos.algos import LINEARIZABLE, all_profiles
+    from repro.chaos.algos import LINEARIZABLE, get_profile
 
-    try:
-        profile = all_profiles()[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {name!r}; see repro.chaos.algos"
-        ) from None
-    return profile.factory, profile.consistency == LINEARIZABLE
+    profile = get_profile(name)
+    return profile.factory, profile.factory.CONSISTENCY == LINEARIZABLE
 
 
 @dataclass(frozen=True, slots=True)

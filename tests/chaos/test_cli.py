@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.chaos.__main__ import SMOKE_SEEDS, _parse_seed_range, main
-from repro.chaos.algos import CAMPAIGN_ALGOS
+from repro.chaos.algos import HEALTHY, all_profiles
 
 
 def test_parse_seed_range_forms():
@@ -28,40 +28,30 @@ def test_clean_sweep_exits_zero(capsys):
 def test_smoke_covers_all_healthy_algorithms(tmp_path, capsys):
     assert main(["--smoke", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    for name in CAMPAIGN_ALGOS:
+    for name in HEALTHY:
         assert name in out
     with (tmp_path / "report.json").open() as fh:
         report = json.load(fh)
     assert report["smoke"] is True
     assert report["total_failures"] == 0
-    assert {a["algo"] for a in report["algos"]} == set(CAMPAIGN_ALGOS)
+    assert {a["algo"] for a in report["algos"]} == set(HEALTHY)
     assert all(len(a["seeds"]) == SMOKE_SEEDS for a in report["algos"])
 
 
 def test_parse_algos_all_tracks_the_live_registry():
-    """``--algo all`` resolves at call time: the new contenders are in,
-    mutants stay out, and profiles registered later are picked up."""
-    from repro.baselines import BfkAso
+    """``--algo all`` is exactly the registry's healthy crash-model
+    entries: the new contenders are in, mutants and Byzantine variants
+    stay out."""
     from repro.chaos.__main__ import _parse_algos
-    from repro.chaos.algos import (
-        LINEARIZABLE,
-        AlgoProfile,
-        register_profile,
-        unregister_profile,
-    )
 
     names = _parse_algos("all")
     assert "bfk" in names and "impr" in names
-    assert not any(n.startswith("mut-") for n in names)
-    profile = AlgoProfile("dummy-contender", BfkAso, LINEARIZABLE, n=5, f=2)
-    register_profile(profile)
-    try:
-        assert "dummy-contender" in _parse_algos("all")
-        with pytest.raises(ValueError):
-            register_profile(profile)  # duplicate names are refused
-    finally:
-        unregister_profile("dummy-contender")
-    assert "dummy-contender" not in _parse_algos("all")
+    assert names == sorted(
+        name
+        for name, p in all_profiles().items()
+        if p.mutant_of is None and not p.supports_byzantine
+    )
+    assert not any(n.startswith(("mut-", "byz_")) for n in names)
 
 
 def test_mutant_sweep_exits_one_and_exports(tmp_path, capsys):

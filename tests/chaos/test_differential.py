@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.algos import CAMPAIGN_ALGOS, LINEARIZABLE, get_profile
+from repro.chaos.algos import HEALTHY, LINEARIZABLE, get_profile
 from repro.chaos.campaign import campaign_seed
 from repro.chaos.gen import generate_plan
 from repro.chaos.runner import BRUTE_LIMIT, run_plan
@@ -37,7 +37,7 @@ MUTANT_WINDOWS: dict[str, range] = {
 def _small_histories(algo: str, indices: range):
     """(history, real_time) for fuzzed executions small enough to brute."""
     profile = get_profile(algo)
-    real_time = profile.consistency == LINEARIZABLE
+    real_time = profile.factory.CONSISTENCY == LINEARIZABLE
     out = []
     for index in indices:
         seed = campaign_seed(0, algo, index)
@@ -52,7 +52,7 @@ def _small_histories(algo: str, indices: range):
     return out
 
 
-@pytest.mark.parametrize("algo", sorted(CAMPAIGN_ALGOS))
+@pytest.mark.parametrize("algo", sorted(HEALTHY))
 def test_checkers_agree_on_healthy_histories(algo):
     """Positive direction: chaos histories of correct algorithms satisfy
     both checkers (and in particular the polynomial one is not too strict)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.algos import BYZANTINE_ALGOS, all_profiles, get_profile
+from repro.chaos.algos import HEALTHY, all_profiles, get_profile
 from repro.chaos.gen import generate_plan
 from repro.chaos.plan import ChainCrashSpec
 
@@ -41,7 +41,7 @@ def test_byzantine_only_where_supported(seed):
         if not profile.supports_byzantine:
             assert plan.byzantine == ()
         else:
-            assert name in BYZANTINE_ALGOS
+            assert name not in HEALTHY
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.algos import CAMPAIGN_ALGOS, get_profile
+from repro.chaos.algos import HEALTHY, get_profile
 from repro.chaos.gen import generate_plan
 from repro.chaos.plan import ChaosPlan, OpChainSpec, TimedCrashSpec
 from repro.chaos.runner import BRUTE_LIMIT, run_plan
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGN_ALGOS))
+@pytest.mark.parametrize("name", sorted(HEALTHY))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_healthy_algorithms_survive_chaos(name, seed):
     plan = generate_plan(get_profile(name), seed)

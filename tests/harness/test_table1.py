@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.harness.table1 import (
-    ALGORITHMS,
-    PAPER_CLAIMS,
-    format_table1,
-    run_table1,
-)
+from repro.chaos.algos import TABLE1
+from repro.harness.table1 import format_table1, run_table1
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +16,7 @@ def rows():
 
 
 def test_all_rows_present(rows):
-    assert set(rows) == set(ALGORITHMS) == set(PAPER_CLAIMS)
+    assert list(rows) == [p.label for p in TABLE1]
 
 
 def test_sso_scan_is_free(rows):

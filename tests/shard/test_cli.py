@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.shard.__main__ import main
 
 ARGS = ["--shards", "2", "--ops", "60", "--keys", "16", "--clients", "20"]
@@ -42,3 +44,12 @@ def test_chaos_subcommand_passes(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["run", "--shards", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "chaos"])
+def test_unknown_algo_prints_unquoted_choices(command, capsys):
+    assert main([command, *ARGS, "--algo", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown algorithm 'nope'; choose from [")
+    assert "'eq_aso'" in err
+    assert "Traceback" not in err
