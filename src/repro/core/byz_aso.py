@@ -22,7 +22,8 @@ documents our reconstruction in full.  Summary of the changes relative to
    with ``n > 3f``, two ``n−f`` quorums share at least ``f+1`` nodes,
    hence at least one honest node, which restores Lemma 1.
 
-3. **Borrowed views are verified.**  ``goodLA`` carries the view contents;
+3. **Borrowed views are verified.**  ``goodLA`` carries the view contents
+   (the only place a view leaves the data plane as a set of values);
    a borrow is accepted only when ``f+1`` distinct senders claim an
    identical ``(tag, view)`` (so at least one claimant is honest and the
    view is a genuine good-lattice view) *and* every value in it has been
@@ -43,10 +44,16 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.byz_messages import MByzGoodLA, MHave
-from repro.core.eq_aso import EqAso, View
+from repro.core.eq_aso import EqAso
 from repro.core.tags import Timestamp, ValueTs
+from repro.core.views import View
 from repro.net.rbc import BrachaRBC
 from repro.runtime.protocol import OpGen, WaitUntil
+
+#: A goodLA claim's view in its wire form.  Votes and verification compare
+#: claims exactly as sent; a claim becomes a data-plane view once it is
+#: accepted or borrowed, when every value in it has been delivered here.
+Claim = frozenset[ValueTs]
 
 
 class ByzantineAso(EqAso):
@@ -60,19 +67,17 @@ class ByzantineAso(EqAso):
         self._delivered_ts: dict[Timestamp, ValueTs] = {}
         self._pending_haves: dict[ValueTs, set[int]] = {}
         # votes for verified borrowing: (tag, ids) -> distinct claimants
-        self._good_la_votes: dict[tuple[int, frozenset[ValueTs]], set[int]] = {}
+        self._good_la_votes: dict[tuple[int, Claim], set[int]] = {}
         # claims verified locally against the HAVE-rows (see
         # _row_verify_claim) plus claims that reached f+1 matching votes
-        self._verified_claims: set[tuple[int, frozenset[ValueTs]]] = set()
-        self._pending_claims: set[tuple[int, frozenset[ValueTs]]] = set()
+        self._verified_claims: set[tuple[int, Claim]] = set()
+        self._pending_claims: set[tuple[int, Claim]] = set()
         # a delivery or HAVE of `vt` can only newly satisfy claims whose
         # view contains `vt` (a row gaining an outside value can only
         # *break* that claim's row matches, and vote-count changes are
         # rechecked directly by the goodLA handler), so pending claims
         # are indexed by the values they wait on instead of rescanned
-        self._claims_waiting_on: dict[
-            ValueTs, set[tuple[int, frozenset[ValueTs]]]
-        ] = {}
+        self._claims_waiting_on: dict[ValueTs, set[tuple[int, Claim]]] = {}
         self.garbage_dropped = 0
 
     # ==================================================================
@@ -137,22 +142,22 @@ class ByzantineAso(EqAso):
                 borrowed = self._find_verified_borrow(r, self.max_tag)
                 if borrowed is not None:
                     self.indirect_views_used += 1
-                    return borrowed
+                    return self.V.view_of(borrowed)
                 r = self.max_tag
         finally:
             self.phase_exit("lattice")
 
     def _broadcast_good_la(self, tag: int, view: View) -> None:
-        ids = frozenset(view)
+        ids = self.V.values(view)
         self.broadcast(MByzGoodLA(tag, ids))
         # our own claim counts as one vote (we are honest by assumption)
         self._good_la_votes.setdefault((tag, ids), set()).add(self.node_id)
 
-    def _find_verified_borrow(self, lo: int, hi: int) -> View | None:
+    def _find_verified_borrow(self, lo: int, hi: int) -> Claim | None:
         """A verified claimed view for a tag in [lo, hi]: either ≥ f+1
         distinct senders claimed the identical (tag, ids), or the claim is
         locally row-verified; all values must be locally delivered."""
-        best: View | None = None
+        best: Claim | None = None
         best_key = (-1, -1)
         for (tag, ids), voters in self._good_la_votes.items():
             if not (lo <= tag <= hi):
@@ -169,7 +174,7 @@ class ByzantineAso(EqAso):
     # ------------------------------------------------------------------
     # claim verification against HAVE-rows
     # ------------------------------------------------------------------
-    def _row_verify_claim(self, tag: int, ids: View) -> bool:
+    def _row_verify_claim(self, tag: int, ids: Claim) -> bool:
         """A claim is *row-verified* when ``≥ n−f`` HAVE-rows restricted to
         ``tag`` equal ``ids`` — the verifier's own equivalence-quorum
         evidence, independent of the claimant.  Row-verified sets are
@@ -181,14 +186,14 @@ class ByzantineAso(EqAso):
             return False
         return self.V.matching_restricted_rows(tag, ids) >= self.quorum_size
 
-    def _accept_claim(self, tag: int, ids: View) -> None:
+    def _accept_claim(self, tag: int, ids: Claim) -> None:
         if (tag, ids) in self._verified_claims:
             return
         self._verified_claims.add((tag, ids))
         self._unpend_claim((tag, ids))
-        self._on_safe_view(ids)
+        self._on_safe_view(self.V.view_of(ids))
 
-    def _consider_claim(self, tag: int, ids: View) -> None:
+    def _consider_claim(self, tag: int, ids: Claim) -> None:
         voters = self._good_la_votes.get((tag, ids), set())
         if len(voters) >= self.f + 1 and all(self._is_delivered(vt) for vt in ids):
             self._accept_claim(tag, ids)
@@ -197,14 +202,14 @@ class ByzantineAso(EqAso):
         else:
             self._pend_claim((tag, ids))
 
-    def _pend_claim(self, key: tuple[int, View]) -> None:
+    def _pend_claim(self, key: tuple[int, Claim]) -> None:
         if key in self._pending_claims:
             return
         self._pending_claims.add(key)
         for vt in key[1]:
             self._claims_waiting_on.setdefault(vt, set()).add(key)
 
-    def _unpend_claim(self, key: tuple[int, View]) -> None:
+    def _unpend_claim(self, key: tuple[int, Claim]) -> None:
         if key not in self._pending_claims:
             return
         self._pending_claims.discard(key)
@@ -242,10 +247,9 @@ class ByzantineAso(EqAso):
                     else:
                         self._pending_haves.setdefault(vt, set()).add(src)
                 case MByzGoodLA(tag, ids) if isinstance(tag, int) and tag >= 0:
-                    view = frozenset(ids)
-                    self._good_la_votes.setdefault((tag, view), set()).add(src)
-                    self.D_view[src] = view
-                    self._consider_claim(tag, view)
+                    claim = frozenset(ids)
+                    self._good_la_votes.setdefault((tag, claim), set()).add(src)
+                    self._consider_claim(tag, claim)
                 case _:
                     self.garbage_dropped += 1
         except (TypeError, ValueError, AttributeError):

@@ -11,8 +11,7 @@ local vector honest scans are served from.
 from __future__ import annotations
 
 from repro.core.byz_aso import ByzantineAso
-from repro.core.eq_aso import View
-from repro.core.tags import ValueTs, extract
+from repro.core.views import View
 from repro.runtime.protocol import SEQUENTIAL, OpGen
 
 
@@ -23,18 +22,17 @@ class ByzantineSso(ByzantineAso):
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
-        self._safe_view: frozenset[ValueTs] = frozenset()
+        self._safe_view: View = self.V.view_of(())
 
     def _on_safe_view(self, view: View) -> None:
-        if not view <= self._safe_view:
-            self._safe_view = self._safe_view | view
+        self._safe_view = self.V.join(self._safe_view, view)
 
     def scan(self) -> OpGen:  # lint: ignore[RL005] — zero-communication op
         """SCAN() — local, no communication, no waiting (contributes 0 to
         every phase, so the per-D accounting stays total without
         annotations)."""
         yield from ()
-        return extract(self._safe_view, self.n)
+        return self.V.extract(self._safe_view)
 
 
 __all__ = ["ByzantineSso"]

@@ -42,11 +42,9 @@ from repro.core.messages import (
     MWriteAck,
     MWriteTag,
 )
-from repro.core.tags import Timestamp, ValueTs, extract
-from repro.core.views import ViewVector
+from repro.core.tags import Timestamp, ValueTs
+from repro.core.views import View, ViewVector
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
-
-View = frozenset[ValueTs]
 
 
 class EqAso(ProtocolNode):
@@ -102,9 +100,6 @@ class EqAso(ProtocolNode):
         self.lattice_ops_started = 0
         self.good_lattice_ops = 0
         self.indirect_views_used = 0
-        #: (tag, view) of every good lattice operation this node completed
-        #: — the raw material for the Lemma 2 property tests
-        self.good_views: list[tuple[int, View]] = []
 
     # ==================================================================
     # client operations
@@ -129,12 +124,12 @@ class EqAso(ProtocolNode):
         """SCAN() — lines 11-13."""
         r = yield from self._read_tag()  # line 11
         view = yield from self._lattice_renewal(r)  # line 12
-        return extract(view, self.n)  # line 13
+        return self.V.extract(view)  # line 13
 
     # ==================================================================
     # helper procedures
     # ==================================================================
-    def _lattice(self, r: int) -> Generator[WaitUntil, None, tuple[bool, View]]:
+    def _lattice(self, r: int) -> Generator[WaitUntil, None, tuple[bool, View | None]]:
         """Lattice(r) — lines 14-21."""
         self.lattice_ops_started += 1
         self.phase_enter("lattice-op")
@@ -160,7 +155,7 @@ class EqAso(ProtocolNode):
             self._record_good_la(r, v_star)
             self._broadcast_good_la(r, v_star)  # line 18
             return (True, v_star)  # line 19
-        return (False, frozenset())  # line 21
+        return (False, None)  # line 21
 
     def _broadcast_good_la(self, tag: int, view: View) -> None:
         """Announce a good lattice operation (line 18).  The Byzantine
@@ -300,7 +295,6 @@ class EqAso(ProtocolNode):
         local state exact for the SSO subclass)."""
         self.D_view[self.node_id] = view
         self._good_la_views.setdefault(tag, {})[self.node_id] = view
-        self.good_views.append((tag, view))
         self._on_safe_view(view)
 
     def _on_safe_view(self, view: View) -> None:
@@ -313,10 +307,9 @@ class EqAso(ProtocolNode):
         unless :attr:`gc_tag_window` is set).  The tag a renewal is
         actively waiting on is always retained.
 
-        Also evicts the view vector's cached tag restrictions below the
+        Also evicts the view vector's per-tag cached state below the
         cutoff: read tags are non-decreasing, so no future lattice
-        operation restricts below it, and without eviction the cache
-        would leak one entry per (row, tag) pair over a long-lived run.
+        operation restricts below it.
         """
         if self.gc_tag_window is None:
             return

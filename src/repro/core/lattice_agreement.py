@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
-from repro.core.views import ViewVector
+from repro.core.views import View, ViewVector
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
 
 
@@ -84,7 +84,7 @@ class EarlyStoppingLA(ProtocolNode):
         yield WaitUntil(quorum_acked, "LA proposal ack quorum")
         self.phase_exit("disseminate")
 
-        holder: list[frozenset] = []
+        holder: list[View] = []
 
         def eq_holds() -> bool:
             hit = self.V.eq_predicate(self.node_id, self.f)
@@ -96,7 +96,7 @@ class EarlyStoppingLA(ProtocolNode):
         self.phase_enter("eq-wait")
         yield WaitUntil(eq_holds, f"EQ(V, {self.node_id}) for LA decision")
         self.phase_exit("eq-wait")
-        decided = holder[-1]
+        decided = self.V.values(holder[-1])
         return frozenset(el.item for el in decided)
 
     def on_message(self, src: int, payload: Any) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.messages import MValue, MValueAck
-from repro.core.tags import Timestamp, ValueTs, extract
-from repro.core.views import ViewVector
+from repro.core.tags import Timestamp, ValueTs
+from repro.core.views import View, ViewVector
 from repro.runtime.protocol import OpGen, ProtocolNode, WaitUntil
 
 
@@ -58,7 +58,7 @@ class OneShotAso(ProtocolNode):
 
     def scan(self) -> OpGen:
         """SCAN(): wait for EQ(V, i), return extract(equivalence set)."""
-        holder: list[frozenset[ValueTs]] = []
+        holder: list[View] = []
 
         def pred() -> bool:
             hit = self.V.eq_predicate(self.node_id, self.f)
@@ -70,7 +70,7 @@ class OneShotAso(ProtocolNode):
         self.phase_enter("eq-wait")
         yield WaitUntil(pred, f"EQ(V, {self.node_id})")
         self.phase_exit("eq-wait")
-        return extract(holder[-1], self.n)
+        return self.V.extract(holder[-1])
 
     # ------------------------------------------------------------------
     # server thread

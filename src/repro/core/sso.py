@@ -27,8 +27,8 @@ the semantic gap between Definition 2 and Definition 3.
 
 from __future__ import annotations
 
-from repro.core.eq_aso import EqAso, View
-from repro.core.tags import ValueTs, extract
+from repro.core.eq_aso import EqAso
+from repro.core.views import View
 from repro.runtime.protocol import SEQUENTIAL, OpGen
 
 
@@ -42,23 +42,20 @@ class SsoFastScan(EqAso):
 
     def __init__(self, node_id: int, n: int, f: int) -> None:
         super().__init__(node_id, n, f)
-        self._safe_view: frozenset[ValueTs] = frozenset()
+        self._safe_view: View = self.V.view_of(())
         self.scan_messages = 0  # stays 0 forever; asserted by tests
 
     def _on_safe_view(self, view: View) -> None:
         # Views from good lattice operations form a chain (Lemma 2), so
         # the running union equals the maximum view learned so far.
-        # Keeping the view frozen lets SCAN hand it out without copying;
-        # the subset guard skips the rebuild for stale/duplicate views.
-        if not view <= self._safe_view:
-            self._safe_view = self._safe_view | view
+        self._safe_view = self.V.join(self._safe_view, view)
 
     def scan(self) -> OpGen:  # lint: ignore[RL005] — zero-communication op
         """SCAN() — completes locally, sends nothing, never waits (its
         span has no protocol phases by construction, so the per-D
         accounting stays total without annotations)."""
         yield from ()  # a generator with zero waits: O(1) local step
-        return extract(self._safe_view, self.n)
+        return self.V.extract(self._safe_view)
 
 
 __all__ = ["SsoFastScan"]

@@ -12,7 +12,7 @@ correctness checker (:mod:`repro.spec`) applies uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -125,10 +125,15 @@ def extract(view: Iterable[ValueTs], n: int) -> Snapshot:
         cur = best[j]
         if cur is None or vt.ts > cur.ts:
             best[j] = vt
+    return snapshot_of(best)
+
+
+def snapshot_of(best: Sequence[ValueTs | None]) -> Snapshot:
+    """The snapshot whose segment ``j`` holds ``best[j]`` (``⊥`` for None)."""
     return Snapshot(
         values=tuple(None if b is None else b.value for b in best),
         meta=tuple(best),
     )
 
 
-__all__ = ["Timestamp", "ValueTs", "Snapshot", "extract", "tag_of"]
+__all__ = ["Timestamp", "ValueTs", "Snapshot", "extract", "snapshot_of", "tag_of"]

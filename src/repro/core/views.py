@@ -1,4 +1,4 @@
-"""View vectors and the equivalence-quorum predicate (Definition 6).
+"""View vectors, views and the equivalence-quorum predicate (Definition 6).
 
 Node ``i`` maintains ``V[1..n]`` where ``V[j]`` is the set of values
 (value–timestamp pairs) received from node ``j``.  Because channels are
@@ -10,19 +10,30 @@ property of Observation 1.
 equal row ``i`` (the *equivalence set*).  The multi-shot algorithm checks
 the predicate on the tag-restricted vector ``V^{≤r}``.
 
+A **view** (a row, a tag-restricted row, an equivalence set, a good
+lattice operation's view) is a value owned by the data plane that made
+it; only this module knows its format.  Algorithms hold views, store
+them, and hand them back to the plane: :meth:`ViewVector.extract` (the
+paper's ``extract``, Algorithm 1 lines 31–34), :meth:`ViewVector.join`,
+:meth:`ViewVector.values` (the frozenset, built only at the spec, test
+and wire boundaries) and :meth:`ViewVector.view_of` (the reverse).
+
 Two interchangeable **data planes** implement the structure, mirroring the
 fast/slow simulation substrate of :mod:`repro.sim.fastpath`:
 
 - :class:`BitsetViewVector` (the default): every distinct value is
   interned into a dense integer id by a per-node :class:`ValueInterner`,
-  a row is a Python int used as a bitset (``row |= 1 << id``), a tag
-  restriction ``V[j]^{≤r}`` is ``row & mask(r)`` for a memoized mask,
-  and ``EQ(V^{≤r}, i)`` is **incremental** masked integer equality: the
-  runtime re-polls the predicate after *every* delivery while a lattice
-  operation waits, so the plane tracks which rows changed since the last
-  poll and maintains a bitmask of rows matching row ``i`` — a delivery
-  that touched no row re-checks nothing, and a typical delivery
-  re-checks exactly one row instead of rebuilding ``n`` frozensets.
+  a row — and every view — is a Python int used as a bitset
+  (``row |= 1 << id``), and the tag restriction ``V[j]^{≤r}`` is
+  ``row & mask_at_most(r)``.  The interner keeps one mask per writer, so
+  ``extract`` reads each writer's newest value as the top bit of
+  ``view & writer_mask[j]``: O(n) big-int operations, never a walk over
+  the history a view has accumulated.  ``EQ(V^{≤r}, i)`` is
+  **incremental** masked integer equality: the runtime re-polls the
+  predicate after *every* delivery while a lattice operation waits, so
+  the plane tracks which rows changed since the last poll and maintains
+  a bitmask of rows matching row ``i`` — a delivery that touched no row
+  re-checks nothing, and a typical delivery re-checks exactly one row.
   Incremental match state is kept for up to :data:`MAX_EQ_STATES`
   distinct ``(i, r)`` predicates simultaneously, and one pass over the
   dirty rows refreshes *every* pending predicate's match mask (the
@@ -32,7 +43,8 @@ fast/slow simulation substrate of :mod:`repro.sim.fastpath`:
   re-scanning all ``n`` rows.  ``STATS.eq_batched_scans`` counts the
   piggybacked refreshes.
 - :class:`ReferenceViewVector`: the original frozenset-per-row
-  implementation, kept as the behavioural oracle.
+  implementation, whose views are frozensets, kept as the behavioural
+  oracle.
 
 ``ViewVector(n)`` consults :func:`repro.sim.fastpath.fast_path_enabled`
 at construction time, exactly like the simulation substrate: flipping the
@@ -44,10 +56,17 @@ paper-facing metrics before reporting a speedup.
 
 from __future__ import annotations
 
-from typing import Hashable
+from bisect import bisect_right, insort
+from typing import Any, Hashable, Iterable
 
-from repro.core.tags import ValueTs, tag_of
+from repro.core import tags
+from repro.core.tags import Snapshot, ValueTs, snapshot_of, tag_of
 from repro.sim.fastpath import STATS, fast_path_enabled
+
+#: A view: opaque outside this module.  An int bitmask on the bitset
+#: plane, a frozenset of values on the reference plane; only the plane
+#: that made a view may interpret it.
+View = Any
 
 #: Upper bound on concurrently-tracked incremental EQ states per vector.
 #: A node polls EQ for its own row at the current read tag plus the
@@ -62,32 +81,38 @@ MAX_EQ_STATES = 8
 #: otherwise tax every flush until `prune_below` retires its tag.
 MAX_EQ_IDLE = 64
 
-#: Bound on the interner's mask -> frozenset memo (:meth:`ValueInterner.
-#: unpack`).  Unpacking is a pure function of the mask (ids are assigned
-#: append-only and never reused), so entries never go stale; the table
-#: is cleared outright when full, like the message intern table.
-UNPACK_CACHE_MAX = 2048
-
 
 class ValueInterner:
     """Per-vector table assigning each distinct value a dense integer id.
 
-    The id is the value's bit position in every row bitset.  The interner
-    also maintains, per distinct tag, the bitmask of ids carrying that
-    tag, and memoizes cumulative ``tag ≤ r`` masks so a tag restriction
-    is a single ``&``.  Memoized masks are kept current as new values are
-    interned (a new bit is OR-ed into every covering mask), so a memoized
-    mask is never stale.
+    The id is the value's bit position in every row bitset.  Kept up to
+    date at intern time, all append-only:
+
+    - per distinct tag, the mask of ids carrying that tag, plus the
+      ascending list of those tags (:meth:`mask_at_most`);
+    - per writer of a timestamped value, the mask of that writer's ids
+      and whether they were interned in timestamp order (:meth:`newest`).
     """
 
-    __slots__ = ("_ids", "_values", "_tag_masks", "_cum_masks", "_unpack_cache")
+    __slots__ = (
+        "_ids",
+        "_values",
+        "_tags",
+        "_tag_masks",
+        "_writer_masks",
+        "_unordered",
+    )
 
     def __init__(self) -> None:
         self._ids: dict[Hashable, int] = {}
-        self._values: list[Hashable] = []
+        self._values: list[Any] = []
+        self._tags: list[int] = []
         self._tag_masks: dict[int, int] = {}
-        self._cum_masks: dict[int, int] = {}
-        self._unpack_cache: dict[int, frozenset] = {}
+        self._writer_masks: dict[int, int] = {}
+        #: writers with an id interned after one of larger tag (a relay
+        #: can outrun the writer's own channel, and a Byzantine origin
+        #: can RBC-deliver a lower tag after a higher one)
+        self._unordered: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -99,12 +124,23 @@ class ValueInterner:
             idx = len(self._values)
             self._ids[value] = idx
             self._values.append(value)
-            tag = tag_of(value)
             bit = 1 << idx
-            self._tag_masks[tag] = self._tag_masks.get(tag, 0) | bit
-            for r in self._cum_masks:
-                if tag <= r:
-                    self._cum_masks[r] |= bit
+            tag = tag_of(value)
+            tag_mask = self._tag_masks.get(tag)
+            if tag_mask is None:
+                insort(self._tags, tag)
+                self._tag_masks[tag] = bit
+            else:
+                self._tag_masks[tag] = tag_mask | bit
+            ts = getattr(value, "ts", None)
+            if ts is not None:
+                writer = ts.writer
+                mine = self._writer_masks.get(writer, 0)
+                # while a writer's ids are in timestamp order its top id
+                # holds its largest tag
+                if mine and self._values[mine.bit_length() - 1].ts.tag > ts.tag:
+                    self._unordered.add(writer)
+                self._writer_masks[writer] = mine | bit
             STATS.values_interned += 1
         return idx
 
@@ -113,31 +149,47 @@ class ValueInterner:
         return self._ids.get(value)
 
     def mask_at_most(self, r: int) -> int:
-        """Bitmask of every interned value with tag ≤ ``r`` (memoized)."""
-        mask = self._cum_masks.get(r)
-        if mask is None:
-            mask = 0
-            for tag, tag_mask in self._tag_masks.items():
-                if tag <= r:
-                    mask |= tag_mask
-            self._cum_masks[r] = mask
-        return mask
+        """Bitmask of every interned value with tag ≤ ``r``: everything
+        minus the tags above ``r``.  Queried tags sit near the top of the
+        tag list, so the loop is short."""
+        known = self._tags
+        universe = (1 << len(self._values)) - 1
+        if not known or known[-1] <= r:
+            return universe
+        tag_masks = self._tag_masks
+        above = 0
+        for k in range(bisect_right(known, r), len(known)):
+            above |= tag_masks[known[k]]
+        return universe ^ above
+
+    def newest(self, mask: int, n: int) -> list[ValueTs | None]:
+        """Per writer ``j < n``, the value in ``mask`` written by ``j``
+        with the largest timestamp (None if there is none): the top bit
+        of ``mask & writer_mask[j]``, or a scan of just those bits for a
+        writer whose ids were not interned in timestamp order."""
+        values = self._values
+        writer_masks = self._writer_masks
+        unordered = self._unordered
+        best: list[ValueTs | None] = [None] * n
+        for j in range(n):
+            m = mask & writer_masks.get(j, 0)
+            if not m:
+                continue
+            if j not in unordered:
+                best[j] = values[m.bit_length() - 1]
+                continue
+            top: ValueTs | None = None
+            while m:
+                low = m & -m
+                vt: ValueTs = values[low.bit_length() - 1]
+                if top is None or vt.ts > top.ts:
+                    top = vt
+                m ^= low
+            best[j] = top
+        return best
 
     def unpack(self, mask: int) -> frozenset:
-        """The set of values whose bits are set in ``mask`` (memoized).
-
-        The same masks recur constantly — a waiting operation re-polls
-        its predicate after every delivery and gets the same equivalence
-        set back until a row changes — and building the frozenset hashes
-        every member value, which profiles as the single hottest step of
-        an EQ-bound run.  Since ids are append-only the result is a pure
-        function of the mask, so a bounded memo answers repeats with one
-        int-keyed dict hit and zero value hashing.
-        """
-        cache = self._unpack_cache
-        hit = cache.get(mask)
-        if hit is not None:
-            return hit
+        """The set of values whose bits are set in ``mask``."""
         values = self._values
         out = []
         m = mask
@@ -145,25 +197,14 @@ class ValueInterner:
             low = m & -m
             out.append(values[low.bit_length() - 1])
             m ^= low
-        result = frozenset(out)
-        if len(cache) >= UNPACK_CACHE_MAX:
-            cache.clear()
-        cache[mask] = result
-        return result
-
-    def prune_masks_below(self, r: int) -> None:
-        """Drop memoized cumulative masks for restrictions below ``r``
-        (recomputable from the per-tag masks if ever queried again)."""
-        for key in [k for k in self._cum_masks if k < r]:
-            del self._cum_masks[key]
+        return frozenset(out)
 
     def mask_stats(self) -> dict[str, int]:
         """Diagnostics: table sizes (read by ``cache_stats``/benchmarks)."""
         return {
             "interned": len(self._values),
             "tag_masks": len(self._tag_masks),
-            "cum_masks": len(self._cum_masks),
-            "unpack_cache": len(self._unpack_cache),
+            "unordered_writers": len(self._unordered),
         }
 
 
@@ -192,8 +233,8 @@ class ViewVector:
         raise NotImplementedError
 
     # -- row access -----------------------------------------------------
-    def row(self, j: int) -> frozenset[ValueTs]:
-        """A read-only snapshot of row ``j`` (the full, unrestricted view)."""
+    def row(self, j: int) -> View:
+        """Row ``j`` as a view (the full, unrestricted row)."""
         raise NotImplementedError
 
     def row_size(self, j: int) -> int:
@@ -202,8 +243,9 @@ class ViewVector:
     def contains(self, j: int, vt: ValueTs) -> bool:
         raise NotImplementedError
 
-    def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
-        """``V[j]^{≤r}`` — the values in row ``j`` with tag at most ``r``."""
+    def restricted_row(self, j: int, r: int) -> View:
+        """``V[j]^{≤r}`` as a view — the values in row ``j`` with tag at
+        most ``r``."""
         raise NotImplementedError
 
     def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
@@ -211,9 +253,30 @@ class ViewVector:
 
         This is the verifier's side of the Byzantine row-verified borrow
         (DESIGN.md §3.3): the caller compares the count against its
-        ``n − f`` quorum.  The bitset plane answers with one mask
-        comparison per row instead of building ``n`` frozensets.
+        ``n − f`` quorum.  ``ids`` is a claim in its wire form; the bitset
+        plane answers with one mask comparison per row and interns
+        nothing.
         """
+        raise NotImplementedError
+
+    # -- views ----------------------------------------------------------
+    def extract(self, view: View) -> Snapshot:
+        """The paper's ``extract`` (Algorithm 1, lines 31–34) of a view:
+        per writer, its value with the largest timestamp."""
+        raise NotImplementedError
+
+    def join(self, a: View, b: View) -> View:
+        """The view holding the values of both ``a`` and ``b``."""
+        raise NotImplementedError
+
+    def values(self, view: View) -> frozenset:
+        """The values of ``view`` as a frozenset — for checkers, tests and
+        wire messages, never the EQ-ASO hot path."""
+        raise NotImplementedError
+
+    def view_of(self, values: Iterable[Hashable]) -> View:
+        """The view holding exactly ``values`` (the inverse of
+        :meth:`values`; the bitset plane interns unseen values)."""
         raise NotImplementedError
 
     # -- whole-vector diagnostics --------------------------------------
@@ -239,7 +302,7 @@ class ViewVector:
     # -- the predicate --------------------------------------------------
     def eq_predicate(
         self, i: int, f: int, r: int | None = None
-    ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+    ) -> tuple[tuple[int, ...], View] | None:
         """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
 
         Args:
@@ -251,13 +314,15 @@ class ViewVector:
         Returns:
             ``(quorum, equivalence_set)`` if the predicate holds — the
             quorum is the sorted tuple of *all* matching rows (a superset
-            of some ``n − f``-quorum) — else ``None``.
+            of some ``n − f``-quorum), the equivalence set a view — else
+            ``None``.
         """
         raise NotImplementedError
 
     # -- memory management ---------------------------------------------
     def prune_below(self, r: int) -> None:
-        """Evict cached tag restrictions below ``r``.
+        """Evict per-tag cached state below ``r`` (the bitset plane's EQ
+        match states, the reference plane's restricted rows).
 
         Called by :meth:`repro.core.eq_aso.EqAso._gc_old_tags` with the
         ``gc_tag_window`` cutoff: restrictions at pruned tags can no
@@ -281,7 +346,6 @@ class BitsetViewVector(ViewVector):
         "_interner",
         "_rows",
         "_dirty",
-        "_filter_cache",
         "_eq_states",
         "_eq_tick",
         "_union_mask",
@@ -294,8 +358,6 @@ class BitsetViewVector(ViewVector):
         self._rows: list[int] = [0] * n
         #: bitmask of rows changed since the last eq_predicate evaluation
         self._dirty = 0
-        #: (j, r) -> (masked row bits, materialized frozenset)
-        self._filter_cache: dict[tuple[int, int], tuple[int, frozenset[ValueTs]]] = {}
         #: (i, r) -> mutable [target bits, match bitmask, last-queried
         #: tick]; insertion order is least-recently-queried (each hit
         #: reinserts its key), bounded at MAX_EQ_STATES by evicting the
@@ -320,8 +382,8 @@ class BitsetViewVector(ViewVector):
                 self._max_seen_tag = tag
         return True
 
-    def row(self, j: int) -> frozenset[ValueTs]:
-        return self._interner.unpack(self._rows[j])
+    def row(self, j: int) -> int:
+        return self._rows[j]
 
     def row_size(self, j: int) -> int:
         return self._rows[j].bit_count()
@@ -330,15 +392,8 @@ class BitsetViewVector(ViewVector):
         idx = self._interner.id_of(vt)
         return idx is not None and (self._rows[j] >> idx) & 1 == 1
 
-    def restricted_row(self, j: int, r: int) -> frozenset[ValueTs]:
-        masked = self._rows[j] & self._interner.mask_at_most(r)
-        key = (j, r)
-        hit = self._filter_cache.get(key)
-        if hit is not None and hit[0] == masked:
-            return hit[1]
-        out = self._interner.unpack(masked)
-        self._filter_cache[key] = (masked, out)
-        return out
+    def restricted_row(self, j: int, r: int) -> int:
+        return self._rows[j] & self._interner.mask_at_most(r)
 
     def matching_restricted_rows(self, r: int, ids: frozenset[ValueTs]) -> int:
         id_of = self._interner.id_of
@@ -353,6 +408,22 @@ class BitsetViewVector(ViewVector):
             return 0  # some claimed value has tag > r: no restriction matches
         return sum(1 for row in self._rows if row & mask == claim)
 
+    def extract(self, view: int) -> Snapshot:
+        return snapshot_of(self._interner.newest(view, self.n))
+
+    def join(self, a: int, b: int) -> int:
+        return a | b
+
+    def values(self, view: int) -> frozenset:
+        return self._interner.unpack(view)
+
+    def view_of(self, values: Iterable[Hashable]) -> int:
+        intern = self._interner.intern
+        mask = 0
+        for value in values:
+            mask |= 1 << intern(value)
+        return mask
+
     def all_values(self) -> frozenset[ValueTs]:
         return self._interner.unpack(self._union_mask)
 
@@ -361,7 +432,7 @@ class BitsetViewVector(ViewVector):
 
     def eq_predicate(
         self, i: int, f: int, r: int | None = None
-    ) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+    ) -> tuple[tuple[int, ...], int] | None:
         STATS.eq_evals += 1
         rows = self._rows
         n = self.n
@@ -454,28 +525,20 @@ class BitsetViewVector(ViewVector):
         states[key] = state
         if matches.bit_count() >= n - f:
             quorum = tuple(j for j in range(n) if (matches >> j) & 1)
-            return quorum, interner.unpack(target)
+            return quorum, target
         return None
 
     def prune_below(self, r: int) -> None:
-        for key in [k for k in self._filter_cache if k[1] < r]:
-            del self._filter_cache[key]
         for eq_key in [
             k for k in self._eq_states if k[1] is not None and k[1] < r
         ]:
             del self._eq_states[eq_key]
-        self._interner.prune_masks_below(r)
 
     def cache_stats(self) -> dict[str, int | str]:
-        stats = self._interner.mask_stats()
         return {
             "plane": "bitset",
-            "filter_cache": len(self._filter_cache),
             "eq_states": len(self._eq_states),
-            "interned": stats["interned"],
-            "tag_masks": stats["tag_masks"],
-            "cum_masks": stats["cum_masks"],
-            "unpack_cache": stats["unpack_cache"],
+            **self._interner.mask_stats(),
         }
 
 
@@ -532,6 +595,18 @@ class ReferenceViewVector(ViewVector):
         target = ids if isinstance(ids, frozenset) else frozenset(ids)
         return sum(1 for j in range(self.n) if self.restricted_row(j, r) == target)
 
+    def extract(self, view: frozenset[ValueTs]) -> Snapshot:
+        return tags.extract(view, self.n)
+
+    def join(self, a: frozenset[ValueTs], b: frozenset[ValueTs]) -> frozenset[ValueTs]:
+        return a if b <= a else a | b
+
+    def values(self, view: frozenset[ValueTs]) -> frozenset:
+        return view
+
+    def view_of(self, values: Iterable[Hashable]) -> frozenset:
+        return frozenset(values)
+
     def all_values(self) -> frozenset[ValueTs]:
         return frozenset(self._union_values)
 
@@ -565,15 +640,12 @@ class ReferenceViewVector(ViewVector):
             "plane": "reference",
             "filter_cache": len(self._filter_cache),
             "eq_states": 0,
-            "interned": 0,
-            "tag_masks": 0,
-            "cum_masks": 0,
         }
 
 
 def eq_predicate(
     V: ViewVector, i: int, f: int, r: int | None = None
-) -> tuple[tuple[int, ...], frozenset[ValueTs]] | None:
+) -> tuple[tuple[int, ...], View] | None:
     """Evaluate ``EQ(V^{≤r}, i)`` (Definition 6).
 
     Thin functional wrapper over :meth:`ViewVector.eq_predicate`, kept
@@ -585,10 +657,10 @@ def eq_predicate(
 __all__ = [
     "MAX_EQ_IDLE",
     "MAX_EQ_STATES",
-    "UNPACK_CACHE_MAX",
     "BitsetViewVector",
     "ReferenceViewVector",
     "ValueInterner",
+    "View",
     "ViewVector",
     "eq_predicate",
 ]

@@ -194,9 +194,9 @@ def run_figure2() -> Figure2Result:
 
     # probe V at node 1 before op4 (the caption's V₁ states)
     node1 = cluster.node(N1)
-    v11 = {vt.value for vt in node1.V.row(N1)}
-    v13 = {vt.value for vt in node1.V.row(N3)}
-    v12 = {vt.value for vt in node1.V.row(N2)}
+    v11 = {vt.value for vt in node1.V.values(node1.V.row(N1))}
+    v13 = {vt.value for vt in node1.V.values(node1.V.row(N3))}
+    v12 = {vt.value for vt in node1.V.values(node1.V.row(N2))}
     assert v11 == {"u", "v"} and v13 == {"u", "v"} and v12 == set(), (
         v11,
         v12,
@@ -217,9 +217,9 @@ def run_figure2() -> Figure2Result:
     cluster.run(until=0.95)  # w reached node 3 at 0.9; nothing else did
 
     node3 = cluster.node(N3)
-    v31 = {vt.value for vt in node3.V.row(N1)}
-    v32 = {vt.value for vt in node3.V.row(N2)}
-    v33 = {vt.value for vt in node3.V.row(N3)}
+    v31 = {vt.value for vt in node3.V.values(node3.V.row(N1))}
+    v32 = {vt.value for vt in node3.V.values(node3.V.row(N2))}
+    v33 = {vt.value for vt in node3.V.values(node3.V.row(N3))}
     assert v33 == {"u", "v", "w"} and v32 == {"w"} and v31 == {"u", "v"}, (
         v31,
         v32,

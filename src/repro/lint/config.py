@@ -63,14 +63,15 @@ DEFAULT_VIEW_PLANE_ATTRS: frozenset[str] = frozenset(
         "_filter_cache",
         "_dirty",
         "_eq_states",
-        "_unpack_cache",
         "_union_mask",
         "_union_values",
         "_max_seen_tag",
         "_ids",
         "_values",
+        "_tags",
         "_tag_masks",
-        "_cum_masks",
+        "_writer_masks",
+        "_unordered",
     }
 )
 

@@ -2,16 +2,17 @@
 
 The view vector has two interchangeable representations (the bitset data
 plane and the frozenset reference, :mod:`repro.core.views`), selected at
-construction time by the fast-path switch.  That swap is only sound while
+construction time by the fast-path switch, and each plane owns the format
+of its views (int masks vs frozensets).  That swap is only sound while
 every other module goes through the shared ``ViewVector`` API — code that
-reaches into ``V._rows``, ``V._filter_cache`` or the interner's tables is
-coupled to one representation and silently breaks (or worse, diverges)
-under the other.
+reaches into ``V._rows``, the reference plane's ``_filter_cache`` or the
+interner's tables is coupled to one representation and silently breaks
+(or worse, diverges) under the other.
 
 The check: outside the view-plane module(s), no attribute access on a
 *non-self* receiver may name a data-plane private attribute
-(``_rows``, ``_interner``, ``_filter_cache``, the interner tables, the
-incremental-EQ state).  ``self.<attr>`` stays allowed everywhere — an
+(``_rows``, ``_interner``, ``_filter_cache``, the interner's tag and
+writer tables, the incremental-EQ state).  ``self.<attr>`` stays allowed everywhere — an
 unrelated class defining its own ``_dirty`` is not a view-plane
 violation; reaching into *another* object's ``_dirty`` is.
 """
@@ -34,9 +35,9 @@ class ViewPlaneEncapsulationRule(Rule):
         "outside the view-plane module"
     )
     fix_hint = (
-        "use the ViewVector API (row/restricted_row/eq_predicate/"
-        "matching_restricted_rows/cache_stats/prune_below) so both data "
-        "planes stay interchangeable"
+        "use the ViewVector API (eq_predicate/restricted_row/extract/join/"
+        "values/view_of/matching_restricted_rows/cache_stats) and treat "
+        "views as opaque, so both data planes stay interchangeable"
     )
 
     def check(

@@ -42,7 +42,7 @@ def test_values_travel_by_rbc():
     node = ByzantineAso(0, 4, 1)
     fake = ValueTs("fake", Timestamp(1, 2), 1)
     node.on_message(2, MHave(fake))
-    assert node.V.row(2) == frozenset()  # buffered, not applied
+    assert node.V.values(node.V.row(2)) == frozenset()  # buffered, not applied
     assert fake in node._pending_haves
 
 

@@ -100,8 +100,8 @@ def test_good_la_handler_records_before_resume():
     vt = ValueTs("v", Timestamp(1, 1), 1)
     node.on_message(1, MValue(vt))
     node.on_message(1, MGoodLA(1))
-    assert node.D_view[1] == {vt}
-    assert node._good_la_views[1][1] == {vt}
+    assert node.V.values(node.D_view[1]) == {vt}
+    assert node.V.values(node._good_la_views[1][1]) == {vt}
 
 
 def test_unknown_message_raises():

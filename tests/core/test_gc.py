@@ -65,8 +65,8 @@ def test_gc_matches_ungc_results():
 
 
 def test_gc_prunes_view_restriction_caches():
-    """_gc_old_tags also evicts the view vector's cached tag
-    restrictions, so a long-lived node's caches track the window."""
+    """_gc_old_tags also evicts the view vector's per-tag EQ match
+    states, so a long-lived node's caches track the window."""
     cluster = Cluster(GcEqAso, n=4, f=1)
     handles = cluster.chain_ops(
         0, [("update", (f"v{i}",)) for i in range(20)]
@@ -74,7 +74,7 @@ def test_gc_prunes_view_restriction_caches():
     cluster.run_until_complete(handles)
     cluster.run(until=cluster.sim.now + 3.0)
     for node in cluster.nodes:
-        cached = int(node.V.cache_stats()["filter_cache"])
-        # only restrictions at tags >= maxTag - window survive: at most
-        # (window + 1) tags x n rows, plus the unrestricted entries
-        assert cached <= 4 * (GcEqAso.gc_tag_window + 2), cached
+        cached = int(node.V.cache_stats()["eq_states"])
+        # only predicates at tags >= maxTag - window survive: one per
+        # tag, below the MAX_EQ_STATES bound an ungc'd node fills
+        assert cached <= GcEqAso.gc_tag_window + 1, cached

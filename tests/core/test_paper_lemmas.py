@@ -27,11 +27,25 @@ from repro.runtime.cluster import Cluster
 from repro.sim.rng import SeededRng
 
 
+class RecordingEqAso(EqAso):
+    """EQ-ASO that also keeps ``(tag, values)`` of every good lattice
+    operation it completes — the raw material for the Lemma 2 tests.
+    Views are node-local, so each is kept as its values."""
+
+    def __init__(self, node_id: int, n: int, f: int) -> None:
+        super().__init__(node_id, n, f)
+        self.good_views: list[tuple[int, frozenset]] = []
+
+    def _record_good_la(self, tag, view):
+        super()._record_good_la(tag, view)
+        self.good_views.append((tag, self.V.values(view)))
+
+
 def run_instrumented(seed: int, *, n=4, f=1, ops_per_node=3, probe_every=0.8):
     """Random workload with periodic row probes."""
     rng = SeededRng(seed)
     cluster = Cluster(
-        EqAso,
+        RecordingEqAso,
         n=n,
         f=f,
         delay_model=UniformDelay(1.0, rng.child("d"), lo=0.05),
@@ -41,7 +55,8 @@ def run_instrumented(seed: int, *, n=4, f=1, ops_per_node=3, probe_every=0.8):
     def probe():
         for i in range(n):
             for s in range(n):
-                row_samples.append((i, s, cluster.node(i).V.row(s)))
+                V = cluster.node(i).V
+                row_samples.append((i, s, V.values(V.row(s))))
 
     for tick in range(1, 40):
         cluster.sim.schedule_at(tick * probe_every, probe)

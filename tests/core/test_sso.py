@@ -125,5 +125,5 @@ def test_safe_view_only_grows():
     for t in range(6):
         cluster.invoke_at(t * 10.0, t % 3, "update", f"v{t}")
         cluster.run(until=(t + 1) * 10.0 - 0.5)
-        sizes.append(len(node3._safe_view))
+        sizes.append(len(node3.V.values(node3._safe_view)))
     assert sizes == sorted(sizes)

@@ -10,13 +10,18 @@ def vt(value, tag, writer=0, useq=1):
     return ValueTs(value, Timestamp(tag, writer), useq)
 
 
+def answer(V, hit):
+    """An EQ answer with its view as values (comparable across planes)."""
+    return None if hit is None else (hit[0], V.values(hit[1]))
+
+
 def test_add_and_membership():
     V = ViewVector(3)
     x = vt("x", 1)
     assert V.add(1, x) is True
     assert V.add(1, x) is False  # duplicate
     assert V.contains(1, x)
-    assert V.row(1) == {x}
+    assert V.values(V.row(1)) == {x}
     assert V.row_size(1) == 1
 
 
@@ -24,17 +29,17 @@ def test_restricted_row_filters_by_tag():
     V = ViewVector(2)
     V.add(0, vt("low", 1))
     V.add(0, vt("high", 5, useq=2))
-    assert V.restricted_row(0, 3) == {vt("low", 1)}
-    assert V.restricted_row(0, 5) == {vt("low", 1), vt("high", 5, useq=2)}
-    assert V.restricted_row(0, 0) == frozenset()
+    assert V.values(V.restricted_row(0, 3)) == {vt("low", 1)}
+    assert V.values(V.restricted_row(0, 5)) == {vt("low", 1), vt("high", 5, useq=2)}
+    assert V.values(V.restricted_row(0, 0)) == frozenset()
 
 
 def test_restricted_row_cache_invalidates_on_growth():
     V = ViewVector(2)
     V.add(0, vt("a", 1))
-    assert V.restricted_row(0, 2) == {vt("a", 1)}
+    assert V.values(V.restricted_row(0, 2)) == {vt("a", 1)}
     V.add(0, vt("b", 2, useq=2))
-    assert V.restricted_row(0, 2) == {vt("a", 1), vt("b", 2, useq=2)}
+    assert V.values(V.restricted_row(0, 2)) == {vt("a", 1), vt("b", 2, useq=2)}
 
 
 def test_all_values_union():
@@ -49,7 +54,7 @@ def test_eq_trivially_true_on_empty_vector():
     hit = eq_predicate(V, 0, f=1)
     assert hit is not None
     quorum, eqset = hit
-    assert quorum == (0, 1, 2) and eqset == frozenset()
+    assert quorum == (0, 1, 2) and V.values(eqset) == frozenset()
 
 
 def test_eq_requires_n_minus_f_equal_rows():
@@ -67,7 +72,7 @@ def test_eq_with_tag_restriction_ignores_future_values():
     future = vt("future", 9)
     V.add(0, future)  # only in own row, but tag 9 > bound
     hit = eq_predicate(V, 0, f=1, r=5)
-    assert hit is not None and hit[1] == frozenset()
+    assert hit is not None and V.values(hit[1]) == frozenset()
     assert eq_predicate(V, 0, f=1) is None  # unrestricted: rows differ
 
 
@@ -99,10 +104,10 @@ def test_restricted_rows_are_monotone_in_tag(adds, r):
     for row, writer, tag in adds:
         V.add(row, ValueTs(f"v{writer}.{tag}", Timestamp(tag, writer), tag))
     for j in range(3):
-        low = V.restricted_row(j, r)
-        high = V.restricted_row(j, r + 1)
+        low = V.values(V.restricted_row(j, r))
+        high = V.values(V.restricted_row(j, r + 1))
         assert low <= high
-        assert high <= V.row(j)
+        assert high <= V.values(V.row(j))
 
 
 @given(values_strategy)
@@ -113,7 +118,7 @@ def test_eq_set_equals_own_restricted_row(adds):
     for r in range(7):
         hit = eq_predicate(V, 0, f=1, r=r)
         if hit is not None:
-            assert hit[1] == V.restricted_row(0, r)
+            assert V.values(hit[1]) == V.values(V.restricted_row(0, r))
             assert 0 in hit[0]
             assert len(hit[0]) >= 2  # n - f
 
@@ -147,8 +152,10 @@ def test_cache_stats_names_the_plane():
 
 def test_filter_cache_bounded_under_long_update_stream():
     """10k updates with ever-growing tags: periodic prune_below (what
-    EqAso._gc_old_tags calls) must keep the restriction caches bounded
-    on both planes instead of accreting one entry per tag forever."""
+    EqAso._gc_old_tags calls) must keep the reference plane's restriction
+    cache bounded instead of accreting one entry per tag forever.  The
+    bitset plane caches no restriction at all: a restricted row is one
+    ``&`` with a mask derived from the live per-tag table."""
     from repro.core.views import BitsetViewVector, ReferenceViewVector
 
     window, prune_every, query_every = 8, 100, 10
@@ -164,15 +171,17 @@ def test_filter_cache_bounded_under_long_update_stream():
                 V.restricted_row(writer, tag)
             if tag % prune_every == 0:
                 V.prune_below(tag - window)
-                high_water = max(high_water, int(V.cache_stats()["filter_cache"]))
+                high_water = max(
+                    high_water, int(V.cache_stats().get("filter_cache", 0))
+                )
         stats = V.cache_stats()
         bound = prune_every + window + 1  # entries since the last prune
         assert high_water <= bound, (plane_cls.__name__, high_water)
-        assert int(stats["filter_cache"]) <= bound
         if stats["plane"] == "bitset":
-            # memoized cumulative tag masks are pruned the same way
-            assert int(stats["cum_masks"]) <= bound
+            assert "filter_cache" not in stats
             assert int(stats["interned"]) == 10_000
+        else:
+            assert int(stats["filter_cache"]) <= bound
 
 
 def test_prune_below_never_changes_results():
@@ -264,7 +273,7 @@ def test_eq_eviction_costs_full_rescan_but_stays_exact():
     # n-row scan — and eviction never changes the predicate's answer
     status, hit = _probe(V, 0, None)
     assert status == "miss"
-    assert hit == ref.eq_predicate(0, 1, None)
+    assert answer(V, hit) == answer(ref, ref.eq_predicate(0, 1, None))
 
     # ...and the re-registered state serves the next query for free
     status, again = _probe(V, 0, None)
@@ -289,5 +298,42 @@ def test_eq_idle_states_expire_during_dirty_flush():
     status_a, hit_a = _probe(V, 0, None)
     status_b, hit_b = _probe(V, 1, None)
     assert (status_a, status_b) == ("miss", "hit")
-    assert hit_a == ref.eq_predicate(0, 1, None)
-    assert hit_b == ref.eq_predicate(1, 1, None)
+    assert answer(V, hit_a) == answer(ref, ref.eq_predicate(0, 1, None))
+    assert answer(V, hit_b) == answer(ref, ref.eq_predicate(1, 1, None))
+
+
+# ----------------------------------------------------------------------
+# the EQ-ASO hot path keeps views as plane-owned masks
+# ----------------------------------------------------------------------
+def test_eq_aso_hot_path_builds_no_value_sets(monkeypatch):
+    """EQ hits, goodLA deliveries, SSO safe views and SCAN's extract all
+    stay masks on the bitset plane: contended EqAso and SsoFastScan
+    histories complete, and check, with the interner's set expansion
+    made to raise."""
+    from repro.core.eq_aso import EqAso
+    from repro.core.sso import SsoFastScan
+    from repro.core.views import ValueInterner
+    from repro.harness.workloads import random_workload
+    from repro.net.delays import UniformDelay
+    from repro.runtime.cluster import Cluster
+    from repro.sim.rng import SeededRng
+    from repro.spec import check_sequentially_consistent, is_linearizable
+
+    def refuse(self, mask):
+        raise AssertionError("a view was expanded into a value set")
+
+    monkeypatch.setattr(ValueInterner, "unpack", refuse)
+    for algo, check in (
+        (EqAso, is_linearizable),
+        (SsoFastScan, check_sequentially_consistent),
+    ):
+        rng = SeededRng(3)
+        cluster = Cluster(
+            algo, n=5, f=2, delay_model=UniformDelay(1.0, rng.child("d"), lo=0.05)
+        )
+        handles = random_workload(cluster, rng.child("w"), ops_per_node=6)
+        cluster.run_until_complete(handles)
+        assert all(h.done for h in handles)
+        scans = [h for h in handles if h.kind == "scan"]
+        assert scans and any(v is not None for h in scans for v in h.result.values)
+        assert check(cluster.history)
